@@ -11,11 +11,11 @@ automatically, and at session end one schema-versioned
 the ``test_bench_`` prefix) is written via
 :class:`repro.obs.bench.BenchRecorder` — timing stats per test
 (median/IQR/rounds), git SHA, environment, catalog digest, the metrics
-snapshot, plus anything a test attached through the ``bench_extras``
-fixture.  ``REPRO_BENCH_DIR`` moves all records; the historical
-``BENCH_JSON`` variable still redirects the blackbox-batch record but
-is deprecated and warns.  Gate records against a baseline with
-``repro bench BENCH_x.json --compare benchmarks/baselines/BENCH_x.json``.
+snapshot of that module alone (``METRICS`` is reset when each module
+starts), plus anything a test attached through the ``bench_extras``
+fixture.  ``REPRO_BENCH_DIR`` moves all records.  Gate records
+against a baseline with ``repro bench BENCH_x.json --compare
+benchmarks/baselines/BENCH_x.json``.
 
 Every flushed record is additionally appended to the perf-history
 store (``benchmarks/history.jsonl`` or ``$REPRO_HISTORY_DIR``) — one
@@ -32,9 +32,10 @@ import pytest
 from repro.catalog import build_tpch_catalog
 from repro.obs import catalog_digest
 from repro.obs.bench import BenchRecorder, load_bench_record
+from repro.obs.metrics import METRICS
 from repro.workloads import build_tpch_queries
 
-_RECORDER = BenchRecorder(legacy_env={"blackbox_batch": "BENCH_JSON"})
+_RECORDER = BenchRecorder()
 
 
 def _group_for(request) -> str:
@@ -54,6 +55,14 @@ def catalog():
 def queries(catalog):
     """All 22 TPC-H queries."""
     return build_tpch_queries(catalog)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _bench_module_metrics(request):
+    """Give each module's record only the metrics its tests produced."""
+    METRICS.reset()
+    yield
+    _RECORDER.set_metrics(_group_for(request), METRICS.snapshot())
 
 
 @pytest.fixture(autouse=True)

@@ -29,6 +29,7 @@ from .complementary import (
     classify_pair,
 )
 from .costmodel import (
+    dense_owner_batch,
     global_relative_cost,
     optimal_plan,
     optimal_plan_index,
@@ -56,7 +57,6 @@ from .geometry import (
     switchover_normal,
     switchover_point_in_box,
 )
-from .planindex import PlanIndex, dense_owner_batch
 from .regions import InfluenceDiagram, RegionOfInfluence
 from .resources import Resource, ResourceSpace, ResourceSpaceMismatchError
 from .switching import (
@@ -85,7 +85,6 @@ __all__ = [
     "EnvelopePiece",
     "PlanDiagram",
     "PlanEnvelope",
-    "PlanIndex",
     "RegionOfInfluence",
     "Resource",
     "ResourceSpace",

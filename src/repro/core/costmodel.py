@@ -10,8 +10,9 @@
 
 The module also exposes :func:`optimal_plan_index` /
 :func:`optimal_plan`, the building blocks the experiment harness uses to
-evaluate plan sets at many cost vectors at once (see
-:mod:`repro.core.worstcase` for the vectorised sweep).
+evaluate plan sets at many cost vectors at once, and
+:func:`dense_owner_batch`, the one batched winner lookup
+(``argmin(C @ U.T)``) every vectorised sweep runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "global_relative_cost",
     "optimal_plan_index",
     "optimal_plan",
+    "dense_owner_batch",
     "usage_matrix",
 ]
 
@@ -82,6 +84,18 @@ def optimal_plan_index(
     plans[0].space.require_same(cost.space)
     totals = matrix @ cost.values
     return int(np.argmin(totals))
+
+
+def dense_owner_batch(
+    matrix: np.ndarray, costs: np.ndarray
+) -> np.ndarray:
+    """The batched winner lookup: ``argmin(C @ U.T)`` per cost row.
+
+    ``np.argmin`` returns the first minimum, so the repo's lowest-index
+    tie-break is built in.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.argmin(costs @ matrix.T, axis=1)
 
 
 def optimal_plan(

@@ -6,8 +6,8 @@ Every benchmark module under ``benchmarks/`` emits one machine-readable
 per-test timing statistics (median/IQR/rounds and friends from
 pytest-benchmark), provenance (git SHA, package version, environment
 fingerprint, catalog digest), the metrics snapshot accumulated while
-the benchmarks ran, and free-form per-module ``extras`` (probe rates,
-speedups).  The record is the unit of performance history: CI archives
+that module's benchmarks ran, and free-form per-module ``extras``
+(probe rates, speedups).  The record is the unit of performance history: CI archives
 one per benchmark per run, and ``repro bench --compare`` diffs two of
 them and exits non-zero when a median regresses beyond a threshold —
 the closed loop that keeps "fast" an enforced property instead of a
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -397,25 +396,17 @@ class BenchRecorder:
     (grouped by module) plus optional :meth:`add_extra` context; at
     session end :meth:`flush` writes one ``BENCH_<group>.json`` per
     group into ``out_dir`` (default: ``$REPRO_BENCH_DIR`` or the
-    working directory), stamping each with the metrics snapshot
-    accumulated while the benchmarks ran.
-
-    ``legacy_env`` maps a group name to a deprecated environment
-    variable that, when set, overrides that group's output path — the
-    ``BENCH_JSON`` escape hatch the blackbox-batch benchmark shipped
-    with before the shared plugin existed.  Using it warns.
+    working directory), stamping each with the metrics snapshot handed
+    to :meth:`set_metrics` for that group — only the metrics its own
+    benchmarks produced (empty sections when none was set).
     """
 
-    def __init__(
-        self,
-        out_dir: "str | os.PathLike | None" = None,
-        legacy_env: "Mapping[str, str] | None" = None,
-    ) -> None:
+    def __init__(self, out_dir: "str | os.PathLike | None" = None) -> None:
         self.out_dir = out_dir
-        self.legacy_env = dict(legacy_env or {})
         self.catalog_sha: "str | None" = None
         self._results: dict[str, dict[str, dict[str, Any]]] = {}
         self._extras: dict[str, dict[str, Any]] = {}
+        self._metrics: dict[str, Mapping[str, Any]] = {}
 
     def record(
         self, group: str, test: str, stats: Mapping[str, Any]
@@ -434,39 +425,29 @@ class BenchRecorder:
         """Attach free-form context to a group's record."""
         self._extras.setdefault(group, {})[key] = value
 
+    def set_metrics(self, group: str, snapshot: Mapping[str, Any]) -> None:
+        """Stamp a group's record with the metrics its benchmarks made."""
+        self._metrics[group] = snapshot
+
     def _path_for(self, group: str) -> Path:
-        env_var = self.legacy_env.get(group)
-        if env_var:
-            legacy = os.environ.get(env_var)
-            if legacy:
-                warnings.warn(
-                    f"{env_var} is deprecated; the benchmark plugin "
-                    f"writes BENCH_{group}.json automatically "
-                    "(set REPRO_BENCH_DIR to move all records)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                return Path(legacy)
         root = self.out_dir or os.environ.get("REPRO_BENCH_DIR") or "."
         return Path(root) / f"BENCH_{group}.json"
 
     def flush(self) -> list[Path]:
         """Write one BENCH record per recorded group; returns paths."""
-        from .metrics import METRICS
-
         written = []
-        metrics = METRICS.snapshot() if self._results else None
         for group, results in sorted(self._results.items()):
             record = build_bench_record(
                 benchmark=group,
                 results=results,
                 extras=self._extras.get(group),
                 catalog_sha=self.catalog_sha,
-                metrics=metrics,
+                metrics=self._metrics.get(group),
             )
             path = self._path_for(group)
             path.parent.mkdir(parents=True, exist_ok=True)
             written.append(write_bench_record(record, path))
         self._results.clear()
         self._extras.clear()
+        self._metrics.clear()
         return written

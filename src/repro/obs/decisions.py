@@ -59,6 +59,9 @@ DEFAULT_SAMPLE_K = 64
 
 #: Margin-decade bucket for exact ties (margin == 0 has no decade).
 TIE_DECADE = "tie"
+#: The ``path`` every record and per-context ``paths`` counter carries:
+#: all lookups run the dense ``argmin(C @ U.T)`` kernel.
+LOOKUP_PATH = "dense"
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +414,6 @@ class DecisionLog:
         totals: np.ndarray,
         winners: "np.ndarray | None" = None,
         reference: "int | np.ndarray | None" = None,
-        path: str = "dense",
         context: "str | None" = None,
     ) -> None:
         """Record one batch of lookups from its totals matrix.
@@ -442,11 +444,11 @@ class DecisionLog:
             )
         label = self._context if context is None else str(context)
         self._aggregate(
-            label, margins, distances, winners, reference_rows, path
+            label, margins, distances, winners, reference_rows
         )
         self._sample(
             label, costs, totals, winners, margins, distances,
-            reference_rows, path,
+            reference_rows,
         )
 
     def observe_one(
@@ -456,7 +458,6 @@ class DecisionLog:
         totals: np.ndarray,
         winner: int,
         reference: "int | None" = None,
-        path: str = "dense",
         context: "str | None" = None,
     ) -> None:
         """Single-probe convenience wrapper over a 1-D totals row."""
@@ -469,12 +470,11 @@ class DecisionLog:
             np.asarray(totals, dtype=float).ravel()[None, :],
             winners=np.array([int(winner)]),
             reference=reference,
-            path=path,
             context=context,
         )
 
     def _aggregate(
-        self, label, margins, distances, winners, reference_rows, path
+        self, label, margins, distances, winners, reference_rows
     ) -> None:
         ctx = self._sink["contexts"].setdefault(label, _context_live())
         count = int(margins.size)
@@ -482,7 +482,8 @@ class DecisionLog:
         ctx["near_plane"] += int(
             np.count_nonzero(distances <= self.epsilon)
         )
-        ctx["paths"][path] = ctx["paths"].get(path, 0) + count
+        paths = ctx["paths"]
+        paths[LOOKUP_PATH] = paths.get(LOOKUP_PATH, 0) + count
         finite = np.isfinite(margins)
         ctx["margin"].observe_many(margins[finite])
 
@@ -516,7 +517,7 @@ class DecisionLog:
 
     def _sample(
         self, label, costs, totals, winners, margins, distances,
-        reference_rows, path,
+        reference_rows,
     ) -> None:
         if not self.sample_k:
             return
@@ -566,7 +567,7 @@ class DecisionLog:
                 "plane_distance": (
                     distance if np.isfinite(distance) else None
                 ),
-                "path": path,
+                "path": LOOKUP_PATH,
                 "reference": reference,
                 "wrong": wrong,
             })

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 #: Bump when the decide response shape changes.
-SERVE_SCHEMA_VERSION = 1
+SERVE_SCHEMA_VERSION = 2
 
 #: Significant digits a probe cost vector is quantized to.  Nine
 #: digits is far below any physically meaningful calibration error and

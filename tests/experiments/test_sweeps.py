@@ -1,17 +1,16 @@
-"""The shared sweep helpers and index-backed experiment parity."""
+"""The shared sweep helpers against literal dense-kernel oracles."""
 
 import numpy as np
 import pytest
 
 from repro.catalog import build_tpch_catalog
 from repro.core.feasible import FeasibleRegion
-from repro.core.planindex import PlanIndex
 from repro.core.resources import ResourceSpace
 from repro.core.vectors import CostVector
 from repro.experiments import CensusParams, RunContext, run_experiment
 from repro.experiments.sweeps import (
+    MC_CHUNK,
     monte_carlo_shares,
-    plan_index_for,
     sweep_optimal_totals,
     sweep_winners,
 )
@@ -39,43 +38,67 @@ def _matrix_and_region(m=120, d=4, seed=0):
     return matrix, region
 
 
-def test_sweep_winners_identical_with_and_without_index():
+def test_sweep_winners_equals_dense_argmin_oracle():
     matrix, region = _matrix_and_region()
     costs = region.sample_matrix(np.random.default_rng(1), 1000)
-    index = PlanIndex(matrix, region, min_plans=1, witness_samples=256)
     np.testing.assert_array_equal(
-        sweep_winners(matrix, costs, None),
-        sweep_winners(matrix, costs, index),
+        sweep_winners(matrix, costs),
+        np.argmin(costs @ matrix.T, axis=1),
     )
 
 
-def test_sweep_optimal_totals_bitwise_across_paths():
+def test_sweep_winners_breaks_duplicate_row_ties_low():
+    # Small integers keep every total exact, so duplicated rows tie
+    # exactly and the oracle below is plain integer arithmetic.
+    rng = np.random.default_rng(7)
+    base = rng.integers(1, 6, size=(5, 3)).astype(float)
+    matrix = np.vstack([base, base[::-1], base])
+    costs = rng.integers(1, 6, size=(200, 3)).astype(float)
+    winners = sweep_winners(matrix, costs)
+    np.testing.assert_array_equal(
+        winners, np.argmin(costs @ matrix.T, axis=1)
+    )
+    for cost, winner in zip(costs.astype(int), winners):
+        totals = [int(row @ cost) for row in matrix.astype(int)]
+        assert winner == totals.index(min(totals))
+    assert (winners < len(base)).all()
+
+
+def test_sweep_optimal_totals_match_winner_row_einsum():
     matrix, region = _matrix_and_region(seed=2)
     costs = region.sample_matrix(np.random.default_rng(3), 500)
-    index = PlanIndex(matrix, region, min_plans=1, witness_samples=256)
-    dense_winners, dense_totals = sweep_optimal_totals(
-        matrix, costs, None
+    winners, totals = sweep_optimal_totals(matrix, costs)
+    np.testing.assert_array_equal(
+        winners, np.argmin(costs @ matrix.T, axis=1)
     )
-    index_winners, index_totals = sweep_optimal_totals(
-        matrix, costs, index
+    # Totals are winner-row dot products, bitwise — not the (block
+    # rounded) entries of the dense product.
+    np.testing.assert_array_equal(
+        totals,
+        np.einsum("rd,rd->r", costs, matrix[winners], optimize=True),
     )
-    np.testing.assert_array_equal(dense_winners, index_winners)
-    # Totals are recomputed as winner-row dot products on both paths,
-    # so they agree bitwise, not just approximately.
-    np.testing.assert_array_equal(dense_totals, index_totals)
+    np.testing.assert_allclose(
+        totals, (costs @ matrix.T).min(axis=1), rtol=1e-12
+    )
 
 
 def test_monte_carlo_shares_sum_to_one_and_match_dense():
     matrix, region = _matrix_and_region(seed=4)
-    index = PlanIndex(matrix, region, min_plans=1, witness_samples=256)
-    dense = monte_carlo_shares(
-        matrix, region, np.random.default_rng(5), 6000, None
+    n_samples = 6000
+    shares = monte_carlo_shares(
+        matrix, region, np.random.default_rng(5), n_samples
     )
-    indexed = monte_carlo_shares(
-        matrix, region, np.random.default_rng(5), 6000, index
-    )
-    assert dense.sum() == pytest.approx(1.0)
-    np.testing.assert_array_equal(dense, indexed)
+    assert shares.sum() == pytest.approx(1.0)
+    rng = np.random.default_rng(5)
+    counts = np.zeros(len(matrix), dtype=np.int64)
+    for start in range(0, n_samples, MC_CHUNK):
+        samples = region.sample_matrix(
+            rng, min(MC_CHUNK, n_samples - start)
+        )
+        counts += np.bincount(
+            np.argmin(samples @ matrix.T, axis=1), minlength=len(matrix)
+        )
+    np.testing.assert_array_equal(shares, counts / n_samples)
 
 
 def test_monte_carlo_shares_rejects_nonpositive_samples():
@@ -86,38 +109,7 @@ def test_monte_carlo_shares_rejects_nonpositive_samples():
         )
 
 
-def test_plan_index_for_respects_activation(monkeypatch):
-    from repro.optimizer.parametric import CandidateSet
-
-    matrix, region = _matrix_and_region(m=6)
-
-    class _Plan:
-        def __init__(self, row, name):
-            self.signature = name
-            self.usage = type("U", (), {"values": row})()
-
-    plans = [_Plan(row, f"p{i}") for i, row in enumerate(matrix[:6])]
-    small = CandidateSet(
-        query_name="toy", plans=plans, region=region, truncated=False
-    )
-    assert plan_index_for(small) is None  # below the threshold
-    monkeypatch.setenv("REPRO_PLAN_INDEX_MIN_PLANS", "1")
-    forced = CandidateSet(
-        query_name="toy", plans=plans, region=region, truncated=False
-    )
-    assert plan_index_for(forced) is not None
-
-
-def test_index_backed_census_serial_vs_jobs2_digest_parity(
-    monkeypatch, catalog, queries
-):
-    """Forcing the index on (threshold 1) must not perturb digests.
-
-    Workers inherit the environment, so the env override reaches the
-    ``--jobs 2`` pool as well; parity proves the index answers match
-    the dense kernel bit-for-bit end to end.
-    """
-    monkeypatch.setenv("REPRO_PLAN_INDEX_MIN_PLANS", "1")
+def test_census_serial_vs_jobs2_digest_parity(catalog, queries):
     params = CensusParams(scenario_key="split")
     subset = {name: queries[name] for name in ("Q6", "Q14")}
     serial_ctx = RunContext(catalog=catalog, queries=subset, jobs=1)
@@ -126,9 +118,3 @@ def test_index_backed_census_serial_vs_jobs2_digest_parity(
     run_experiment("census", params, fanout_ctx)
     assert serial_ctx.result_digests == fanout_ctx.result_digests
     assert serial_ctx.result_digests
-
-    # And the digests match an index-free run of the same census.
-    monkeypatch.setenv("REPRO_NO_PLAN_INDEX", "1")
-    dense_ctx = RunContext(catalog=catalog, queries=subset, jobs=1)
-    run_experiment("census", params, dense_ctx)
-    assert dense_ctx.result_digests == serial_ctx.result_digests

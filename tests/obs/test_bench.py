@@ -223,26 +223,28 @@ def test_recorder_honours_bench_dir_env(tmp_path, monkeypatch):
     assert path.exists()
 
 
-def test_legacy_env_var_redirects_with_deprecation(
-    tmp_path, monkeypatch
-):
-    target = tmp_path / "legacy.json"
-    monkeypatch.setenv("OLD_BENCH_VAR", str(target))
-    recorder = BenchRecorder(
-        out_dir=tmp_path, legacy_env={"alpha": "OLD_BENCH_VAR"}
-    )
-    recorder.record("alpha", "test_one", STATS)
-    with pytest.warns(DeprecationWarning, match="OLD_BENCH_VAR"):
-        (path,) = recorder.flush()
-    assert path == target
-    assert target.exists()
+def test_recorder_stamps_each_group_with_its_own_metrics(tmp_path):
+    """Two groups bumping different counters keep them apart."""
+    from repro.obs.metrics import MetricsRegistry
+
+    recorder = BenchRecorder(out_dir=tmp_path)
+    for group, counter in (("alpha", "alpha.calls"), ("beta", "beta.calls")):
+        registry = MetricsRegistry()
+        registry.counter(counter).inc(3)
+        recorder.record(group, "test_one", STATS)
+        recorder.set_metrics(group, registry.snapshot())
+    recorder.flush()
+    alpha = load_bench_record(tmp_path / "BENCH_alpha.json")
+    beta = load_bench_record(tmp_path / "BENCH_beta.json")
+    assert alpha["metrics"]["counters"] == {"alpha.calls": 3}
+    assert beta["metrics"]["counters"] == {"beta.calls": 3}
 
 
-def test_legacy_env_var_unset_uses_default_path(tmp_path, monkeypatch):
-    monkeypatch.delenv("OLD_BENCH_VAR", raising=False)
-    recorder = BenchRecorder(
-        out_dir=tmp_path, legacy_env={"alpha": "OLD_BENCH_VAR"}
-    )
+def test_recorder_without_metrics_writes_empty_sections(tmp_path):
+    from repro.obs.metrics import METRICS
+
+    METRICS.counter("unrelated.calls").inc()
+    recorder = BenchRecorder(out_dir=tmp_path)
     recorder.record("alpha", "test_one", STATS)
     (path,) = recorder.flush()
-    assert path == tmp_path / "BENCH_alpha.json"
+    assert load_bench_record(path)["metrics"]["counters"] == {}

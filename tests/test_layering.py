@@ -126,24 +126,6 @@ def test_headline_chain_is_ordered():
     assert len(set(ranks)) == len(ranks)
 
 
-def test_planindex_stays_in_core():
-    """The plan-location index is core geometry: it lives in the core
-    layer and may depend only on core itself and the obs toolkit (its
-    scipy kd-tree is optional and gated, never a hard import)."""
-    path = SRC / "core" / "planindex.py"
-    assert path.exists(), "core/planindex.py moved — update the contract"
-    for module in _imported_repro_modules(path):
-        target = _target_layer(module)
-        assert target in ("", "core", "obs", "__init__"), (
-            f"core/planindex.py imports {module} — the index must not "
-            "reach above the core layer"
-        )
-    source = path.read_text()
-    assert "from scipy" not in source.replace(
-        "    from scipy", ""
-    ), "scipy must stay an optional (try/except, indented) import"
-
-
 def test_obs_package_is_complete_and_bottom_ranked():
     """The observability toolkit lives at rank 0: anything may import
     it, it may import nothing above itself.  Pin its module roster so a
