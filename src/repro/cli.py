@@ -629,10 +629,6 @@ def _cmd_serve(args: argparse.Namespace, run: _Run) -> int:
         _usage_error("--port must be >= 0 (0 = ephemeral)")
     if args.workers < 1:
         _usage_error("--workers must be >= 1")
-    if args.batch_window <= 0:
-        _usage_error("--batch-window must be > 0 seconds")
-    if args.max_batch < 1:
-        _usage_error("--max-batch must be >= 1")
     if args.quant_digits < 1:
         _usage_error("--quant-digits must be >= 1")
     try:
@@ -657,8 +653,6 @@ def _cmd_serve(args: argparse.Namespace, run: _Run) -> int:
             store_factory=store_factory,
             warm=warm,
             warm_scenario=warm_scenario,
-            window=args.batch_window,
-            max_batch=args.max_batch,
             quant_digits=args.quant_digits,
             reload_interval=(
                 args.reload_interval if args.catalog else 0.0
@@ -709,8 +703,6 @@ def _cmd_loadgen(args: argparse.Namespace, run: _Run) -> int:
     if args.self_serve or not args.url:
         app = ServeApp(
             store,
-            window=args.batch_window,
-            max_batch=args.max_batch,
             quant_digits=args.quant_digits,
             reload_interval=0.0,
         )
@@ -1127,16 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
              "over (default 100, matching `repro explain`)",
     )
     p_serve.add_argument(
-        "--batch-window", type=float, default=0.002,
-        metavar="SECONDS",
-        help="micro-batch flush tick (default 0.002s)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=1024,
-        help="unique probes per dgemm call; a larger tick splits "
-             "(default 1024)",
-    )
-    p_serve.add_argument(
         "--quant-digits", type=int, default=9,
         help="significant digits incoming cost vectors are quantized "
              "(and coalesced) to (default 9)",
@@ -1232,15 +1214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--warmup", type=int, default=4, metavar="N",
         help="unmeasured priming requests before the clock starts "
              "(default 4)",
-    )
-    p_loadgen.add_argument(
-        "--batch-window", type=float, default=0.002,
-        metavar="SECONDS",
-        help="self-serve mode: the in-process server's flush tick",
-    )
-    p_loadgen.add_argument(
-        "--max-batch", type=int, default=1024,
-        help="self-serve mode: the in-process server's dgemm row cap",
     )
     p_loadgen.add_argument(
         "--self-serve", action="store_true",

@@ -2,9 +2,11 @@
 
 Serves the paper's core question — *which plan wins at this cost
 vector, and how close is the nearest switchover plane?* — as a
-long-running HTTP endpoint (``POST /v1/decide``) with micro-batched
-request handling, a warm shared candidate-set store, and responses
-bitwise identical to offline ``repro explain`` for the same probe.
+long-running HTTP endpoint (``POST /v1/decide``).  Requests queued
+together are coalesced and flushed on the next event-loop turn (no
+batching clock), answered from a warm shared candidate-set store, and
+each response is computed once by the same single-probe kernel as
+offline ``repro explain`` — so it is bitwise identical to it.
 
 Layering: ``serve`` sits *above* ``experiments`` (it reuses scenario
 wiring and the run-context workload) and below ``cli`` (the ``repro

@@ -1,43 +1,31 @@
-"""Micro-batching request queue with coalescing and tick flushes.
+"""Coalescing request queue that flushes on the next loop turn.
 
-Requests arriving within one batching window are answered together:
-the ticker wakes every ``window`` seconds, snapshots the pending map,
-and hands each ``(query, scenario)`` group's *unique* quantized
-probes to the compute callback — one batched dgemm sweep per group
-per tick (see ``serve/decide.py``).  Requests that coalesced onto an
-identical key are computed once and replied N times with the same
-payload.
+The first request into an empty queue schedules one flush with
+``loop.call_soon``; every request that arrives before that callback
+runs — on this or any other connection — rides the same flush.  The
+flush hands each ``(query, scenario)`` group's *unique* quantized
+probes to the compute callback (``serve/decide.py``), and requests
+that coalesced onto an identical key are computed once and replied N
+times with the same payload.  An idle server does no work, and a
+lone request waits one loop turn.
 
-A tick whose group exceeds ``max_batch`` unique probes is split into
-consecutive chunks — each chunk is its own dgemm call — so a burst
-can never build an unbounded matrix; splits are counted in
-``serve.batch_splits`` and every dgemm's row count lands in the
-``serve.batch_size`` histogram.
-
-The batcher is deliberately synchronous inside the flush (numpy math
-on an event loop thread): a tick's work is microseconds-to-
-milliseconds, and keeping it on-loop makes drain trivially correct —
-``stop()`` flushes whatever is pending and no request is ever
-dropped.  Tests drive :meth:`flush_now` directly instead of racing
-the wall-clock ticker.
+The flush is deliberately synchronous (numpy math on the event loop
+thread): a group's work is microseconds-to-milliseconds, and keeping
+it on-loop makes drain trivially correct — ``stop()`` flushes
+whatever is pending and no request is ever dropped.  Tests may call
+:meth:`flush_now` directly; the scheduled callback then finds nothing
+pending and does nothing.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from ..obs.metrics import METRICS
 from .protocol import request_key
 
 __all__ = ["MicroBatcher"]
-
-#: Default flush window: 2ms keeps p99 tight at hundreds of QPS while
-#: still coalescing bursts.
-DEFAULT_WINDOW = 0.002
-
-#: Default per-dgemm row cap; a tick beyond it splits.
-DEFAULT_MAX_BATCH = 1024
 
 
 class _Pending:
@@ -51,7 +39,7 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Coalescing micro-batch queue in front of the decide kernel.
+    """Coalescing queue in front of the decide kernel.
 
     ``compute`` maps a list of parsed requests (unique keys, single
     ``(query, scenario)`` group) to a list of response payloads in
@@ -59,49 +47,13 @@ class MicroBatcher:
     group with the error.
     """
 
-    def __init__(
-        self,
-        compute: Callable[[list], "list | Awaitable[list]"],
-        window: float = DEFAULT_WINDOW,
-        max_batch: int = DEFAULT_MAX_BATCH,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("window must be > 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, compute: Callable[[list], list]) -> None:
         self.compute = compute
-        self.window = float(window)
-        self.max_batch = int(max_batch)
         self._pending: dict[tuple, _Pending] = {}
-        self._ticker: "asyncio.Task | None" = None
-        self._stopping = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        if self._ticker is None:
-            self._stopping = False
-            self._ticker = asyncio.ensure_future(self._run())
 
     async def stop(self) -> None:
-        """Drain: flush everything pending, then stop the ticker."""
-        self._stopping = True
-        ticker = self._ticker
-        self._ticker = None
-        if ticker is not None:
-            ticker.cancel()
-            try:
-                await ticker
-            except asyncio.CancelledError:
-                pass
-        while self._pending:
-            self.flush_now()
-
-    async def _run(self) -> None:
-        while not self._stopping:
-            await asyncio.sleep(self.window)
-            self.flush_now()
+        """Drain: flush everything pending."""
+        self._flush_pending()
 
     # ------------------------------------------------------------------
     # Submission
@@ -109,29 +61,36 @@ class MicroBatcher:
     def submit(self, request: Mapping[str, Any]) -> asyncio.Future:
         """Queue one parsed request; the future resolves at flush."""
         METRICS.counter("serve.requests").inc()
+        loop = asyncio.get_running_loop()
+        if not self._pending:
+            loop.call_soon(self._flush_pending)
         key = request_key(request)
         pending = self._pending.get(key)
         if pending is None:
             pending = self._pending[key] = _Pending(request)
         else:
             METRICS.counter("serve.coalesced").inc()
-        future = asyncio.get_running_loop().create_future()
+        future = loop.create_future()
         pending.waiters.append(future)
         return future
 
     @property
     def depth(self) -> int:
-        """Unique keys currently waiting for the next tick."""
+        """Unique keys currently waiting for the next flush."""
         return len(self._pending)
 
     # ------------------------------------------------------------------
     # Flush
     # ------------------------------------------------------------------
+    def _flush_pending(self) -> None:
+        if self._pending:
+            self.flush_now()
+
     def flush_now(self) -> int:
         """Flush the current pending map; returns keys answered.
 
-        Called by the ticker every window, by ``stop()`` to drain,
-        and directly by tests.
+        Runs from the callback the first submit scheduled, from
+        ``stop()`` to drain, and directly from tests.
         """
         if not self._pending:
             METRICS.counter("serve.empty_ticks").inc()
@@ -147,33 +106,23 @@ class MicroBatcher:
                 pending.request["scenario"],
             )
             groups.setdefault(group, []).append(pending)
-
         for members in groups.values():
-            chunks = [
-                members[start : start + self.max_batch]
-                for start in range(0, len(members), self.max_batch)
-            ]
-            if len(chunks) > 1:
-                METRICS.counter("serve.batch_splits").inc(
-                    len(chunks) - 1
-                )
-            for chunk in chunks:
-                self._flush_chunk(chunk)
+            self._flush_group(members)
         return len(taken)
 
-    def _flush_chunk(self, chunk: "list[_Pending]") -> None:
-        METRICS.histogram("serve.batch_size").observe(len(chunk))
+    def _flush_group(self, members: "list[_Pending]") -> None:
+        METRICS.histogram("serve.batch_size").observe(len(members))
         try:
             responses = self.compute(
-                [pending.request for pending in chunk]
+                [pending.request for pending in members]
             )
-        except Exception as exc:  # reject this chunk's waiters
-            for pending in chunk:
+        except Exception as exc:  # reject this group's waiters
+            for pending in members:
                 for waiter in pending.waiters:
                     if not waiter.done():
                         waiter.set_exception(exc)
             return
-        for pending, response in zip(chunk, responses):
+        for pending, response in zip(members, responses):
             for waiter in pending.waiters:
                 if not waiter.done():
                     waiter.set_result(response)

@@ -1,30 +1,11 @@
-"""The per-tick decide kernel: one dgemm sweep + canonical provenance.
+"""The decide kernel: one canonical single-probe computation.
 
-Each micro-batch tick hands this module the unique quantized probes
-of one ``(query, scenario)`` group.  Two passes answer them:
-
-* **The batched winner sweep** — one ``C @ U.T`` dgemm over the whole
-  group (the same kernel shape ``optimize_batch`` and the figure
-  sweeps use), from which winners, margins and switchover-plane
-  distances are extracted vectorized via the ``obs/decisions`` helpers
-  with no second kernel pass.  This is what the serving metrics see:
-  near-plane fractions, margin histograms, batch sizes.
-* **Canonical per-probe provenance** — the response payload for each
-  unique probe is recomputed with :func:`repro.obs.explain_probe`,
-  the exact single-probe computation behind offline ``repro explain``.
-
-The second pass is not redundancy for its own sake: BLAS dgemm is
-*not* row-wise bitwise reproducible across batch shapes (the same
-probe row multiplied inside a 500-row batch and alone differs in the
-last ulp), so any response field derived from the batched totals would
-change with the accidental composition of its micro-batch — and the
-offline digest gate would be unsatisfiable.  ``explain_probe`` always
-runs the same fixed-shape product for a given candidate set, so a
-response is a pure function of ``(query, scenario, quantized C)`` and
-digests match offline recomputation bit for bit.  Near-ties can still
-make the *batched* argmin disagree with the canonical one (margins at
-double-precision noise); those rows are counted in
-``serve.winner_mismatches`` and the canonical answer wins.
+Every response — online in ``repro serve`` and offline in the
+``--verify-offline`` replay — is built by :func:`decide_one` through
+:func:`repro.obs.explain_probe`, the exact computation behind offline
+``repro explain``.  A response is therefore a pure function of
+``(query, scenario, quantized C)``, whatever else was queued beside
+it, and digests match offline recomputation bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +14,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..obs.decisions import (
-    explain_probe,
-    margins_from_totals,
-    plane_distances,
-)
+from ..obs.decisions import explain_probe
 from ..obs.metrics import METRICS
 from .protocol import SERVE_SCHEMA_VERSION
 
@@ -83,34 +60,25 @@ def decide_group(
 ) -> list[dict[str, Any]]:
     """Decide every unique probe of one ``(query, scenario)`` group.
 
-    Issues the group's single batched dgemm winner sweep (metrics
-    source), then builds each response through :func:`decide_one`.
-    Returns responses in probe order.
+    Returns :func:`decide_one` responses in probe order and records
+    the serving metrics (probe count, finite-margin histogram,
+    near-plane count) from those same responses.
     """
-    matrix = entry.matrix
-    stacked = np.asarray(costs, dtype=float)
-    totals = stacked @ matrix.T
-    METRICS.counter("serve.dgemm_calls").inc()
-    METRICS.counter("serve.probes").inc(len(costs))
-    winners, _, _, margins = margins_from_totals(totals)
-    distances = plane_distances(
-        matrix, stacked, totals, winners, margins
-    )
-    finite = np.isfinite(margins)
-    METRICS.histogram("serve.margin").observe_many(margins[finite])
-    METRICS.counter("serve.near_plane").inc(
-        int(np.count_nonzero(distances <= 1e-3))
-    )
-
     responses = [decide_one(entry, cost) for cost in costs]
-    mismatches = sum(
-        int(response["winner"]) != int(winner)
-        for response, winner in zip(responses, winners)
+    METRICS.counter("serve.probes").inc(len(responses))
+    # explain_probe reports a non-finite margin or distance as None.
+    METRICS.histogram("serve.margin").observe_many(
+        response["margin"]
+        for response in responses
+        if response["margin"] is not None
     )
-    if mismatches:
-        # Batched argmin disagreed with the canonical single-probe
-        # argmin — only possible on margins at double-precision noise.
-        METRICS.counter("serve.winner_mismatches").inc(mismatches)
+    METRICS.counter("serve.near_plane").inc(
+        sum(
+            response["plane_distance"] is not None
+            and response["plane_distance"] <= 1e-3
+            for response in responses
+        )
+    )
     return responses
 
 

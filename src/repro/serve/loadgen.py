@@ -342,12 +342,7 @@ def bench_record_from(
         "decisions_digest": result.digest,
         "server_requests": counters.get("serve.requests"),
         "server_coalesced": counters.get("serve.coalesced"),
-        "server_dgemm_calls": counters.get("serve.dgemm_calls"),
-        "server_batch_splits": counters.get("serve.batch_splits"),
         "server_empty_ticks": counters.get("serve.empty_ticks"),
-        "server_winner_mismatches": counters.get(
-            "serve.winner_mismatches"
-        ),
         "batch_size": histograms.get("serve.batch_size"),
     }
     results = {

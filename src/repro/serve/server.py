@@ -6,16 +6,18 @@ dependency budget.  Three routes:
 
 * ``POST /v1/decide`` — body ``{"query", "scenario", "cost_vector"}``;
   the request is validated and quantized (``serve/protocol.py``),
-  coalesced into the micro-batch queue (``serve/batcher.py``) and
-  answered from the per-tick decide kernel (``serve/decide.py``).
+  coalesced with whatever else is queued (``serve/batcher.py``) and
+  answered by the decide kernel (``serve/decide.py``) on the next
+  event-loop turn.
 * ``GET /healthz`` — liveness + store stats + drain state.
 * ``GET /metrics`` — the process-global obs metrics registry snapshot
   (counters/gauges/histograms), JSON.
 
 Keep-alive is supported (the load generator reuses connections), and
 drain is graceful: SIGTERM/SIGINT stops the listener, lets in-flight
-requests finish through a final batch flush, and exits 0 — the CI
-serve-smoke job asserts exactly that.
+requests finish through a final batch flush, closes idle keep-alive
+connections, waits for every connection handler to return, and exits
+0 — the CI serve-smoke job asserts exactly that.
 
 ``--workers N`` pre-forks: the parent binds the listening socket,
 forks N children that each run their own event loop against the
@@ -52,6 +54,10 @@ MAX_BODY_BYTES = 1 << 20
 #: Default catalog hot-reload poll interval (seconds).
 DEFAULT_RELOAD_INTERVAL = 5.0
 
+#: Seconds drain waits for connections still mid-request (a client
+#: that stalls while sending) before aborting them.
+DRAIN_GRACE = 5.0
+
 
 class ServeApp:
     """One server process: store + batcher + HTTP front end."""
@@ -59,27 +65,27 @@ class ServeApp:
     def __init__(
         self,
         store: CandidateStore,
-        window: float = 0.002,
-        max_batch: int = 1024,
         quant_digits: int = 9,
         reload_interval: float = DEFAULT_RELOAD_INTERVAL,
     ) -> None:
         self.store = store
         self.quant_digits = int(quant_digits)
         self.reload_interval = float(reload_interval)
-        self.batcher = MicroBatcher(
-            self._compute, window=window, max_batch=max_batch
-        )
+        self.batcher = MicroBatcher(self._compute)
         self.draining = False
         self._server: "asyncio.AbstractServer | None" = None
         self._reloader: "asyncio.Task | None" = None
         self._drained = asyncio.Event()
+        # Open connections: handler task -> its writer; ``_idle`` holds
+        # the handlers parked waiting for their next request line.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # Decide plumbing
     # ------------------------------------------------------------------
     def _compute(self, requests: list) -> list:
-        """One batch group -> responses (runs inside a tick flush)."""
+        """One batch group -> responses (runs inside a flush)."""
         first = requests[0]
         entry = self.store.entry(first["query"], first["scenario"])
         return decide_group(
@@ -112,8 +118,7 @@ class ServeApp:
         port: int = 0,
         sock: "socket.socket | None" = None,
     ) -> tuple[str, int]:
-        """Bind (or adopt ``sock``), start ticking; returns (host, port)."""
-        await self.batcher.start()
+        """Bind (or adopt ``sock``); returns the bound (host, port)."""
         if sock is not None:
             self._server = await asyncio.start_server(
                 self._handle, sock=sock
@@ -151,8 +156,31 @@ class ServeApp:
             except asyncio.CancelledError:
                 pass
         await self.batcher.stop()
+        await self._close_connections()
         self._drained.set()
         logger.info("drained: all in-flight requests answered")
+
+    async def _close_connections(self) -> None:
+        """Let every connection handler return on its own.
+
+        A handler still cancelled when ``asyncio.run`` shuts the loop
+        down is logged by Python 3.11 as ``Exception in callback``, so
+        drain closes idle keep-alive connections (their ``readline``
+        sees EOF) and waits for the rest to finish their reply; a
+        connection still mid-request after :data:`DRAIN_GRACE` is
+        aborted.
+        """
+        for task in list(self._idle):
+            self._connections[task].close()
+        if not self._connections:
+            return
+        _, stalled = await asyncio.wait(
+            list(self._connections), timeout=DRAIN_GRACE
+        )
+        for task in stalled:
+            self._connections[task].transport.abort()
+        if stalled:
+            await asyncio.wait(stalled)
 
     # ------------------------------------------------------------------
     # HTTP front end
@@ -162,11 +190,17 @@ class ServeApp:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
-            while True:
-                keep_alive = await self._one_request(reader, writer)
-                if not keep_alive:
-                    break
+            keep_alive = True
+            while keep_alive and not self.draining:
+                self._idle.add(task)
+                request_line = await reader.readline()
+                self._idle.discard(task)
+                keep_alive = await self._one_request(
+                    request_line, reader, writer
+                )
         except (
             ConnectionError,
             asyncio.IncompleteReadError,
@@ -174,14 +208,15 @@ class ServeApp:
         ):
             pass
         finally:
+            self._idle.discard(task)
+            del self._connections[task]
             # close() is enough: awaiting wait_closed() here leaves
             # handler tasks parked in the close handshake when the
             # loop shuts down right after drain, and asyncio logs
             # their cancellation as spurious callback errors.
             writer.close()
 
-    async def _one_request(self, reader, writer) -> bool:
-        request_line = await reader.readline()
+    async def _one_request(self, request_line, reader, writer) -> bool:
         if not request_line:
             return False
         try:
@@ -214,6 +249,7 @@ class ServeApp:
             return False
         body = await reader.readexactly(length) if length else b""
         status, payload = await self._route(method, path, body)
+        keep_alive = keep_alive and not self.draining
         await self._respond(
             writer, status, payload, close=not keep_alive
         )
@@ -365,8 +401,6 @@ def run_server(
     store_factory,
     warm: "tuple[str, ...]" = (),
     warm_scenario: str = "split",
-    window: float = 0.002,
-    max_batch: int = 1024,
     quant_digits: int = 9,
     reload_interval: float = DEFAULT_RELOAD_INTERVAL,
     workers: int = 1,
@@ -390,8 +424,6 @@ def run_server(
             )
         return ServeApp(
             store,
-            window=window,
-            max_batch=max_batch,
             quant_digits=quant_digits,
             reload_interval=reload_interval,
         )

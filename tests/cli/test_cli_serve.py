@@ -19,8 +19,6 @@ def test_serve_parser_defaults():
     assert args.host == "127.0.0.1"
     assert args.port == 8787
     assert args.workers == 1
-    assert args.batch_window == 0.002
-    assert args.max_batch == 1024
     assert args.quant_digits == 9
     assert args.warm_scenario == "split"
     assert args.reload_interval == 5.0
@@ -43,8 +41,8 @@ def test_loadgen_parser_defaults():
     [
         (["serve", "--workers", "0"], "--workers"),
         (["serve", "--port", "-1"], "--port"),
-        (["serve", "--batch-window", "0"], "--batch-window"),
-        (["serve", "--max-batch", "0"], "--max-batch"),
+        (["loadgen", "--quant-digits", "0"], "--quant-digits"),
+        (["loadgen", "--duration", "0"], "--duration"),
         (["serve", "--quant-digits", "0"], "--quant-digits"),
         (["serve", "--warm-scenario", "bogus"], "scenario"),
         (["loadgen", "--qps", "0"], "--qps"),
@@ -158,7 +156,7 @@ def test_serve_help_lists_the_serving_flags(capsys):
     assert excinfo.value.code == 0
     text = capsys.readouterr().out
     for flag in (
-        "--warm", "--batch-window", "--max-batch", "--workers",
+        "--warm", "--workers",
         "--catalog", "--reload-interval", "--quant-digits",
         "--no-cache", "--cache-dir",
     ):

@@ -1,9 +1,9 @@
-"""Batching-window edge cases for the micro-batch queue.
+"""Edge cases for the coalescing request queue.
 
-The four contractual behaviours: an empty flush tick is counted and
-harmless; a single in-flight request resolves on the next tick;
-coalesced duplicates are computed once and replied N times; and a
-tick larger than ``max_batch`` splits into multiple compute calls.
+The contractual behaviours: an empty flush is counted and harmless; a
+lone request resolves on the next event-loop turn with no manual
+flush; an idle queue never flushes; coalesced duplicates are computed
+once and replied N times; groups split by ``(query, scenario)``.
 """
 
 import asyncio
@@ -11,7 +11,7 @@ import asyncio
 import pytest
 
 from repro.obs.metrics import METRICS
-from repro.serve import MicroBatcher
+from repro.serve import MicroBatcher, ServeApp
 from repro.serve.protocol import parse_decide_request
 
 
@@ -39,7 +39,7 @@ class _Recorder:
 
 def test_empty_flush_tick_counts_and_answers_nothing():
     compute = _Recorder()
-    batcher = MicroBatcher(compute, window=0.001)
+    batcher = MicroBatcher(compute)
     before = METRICS.counter("serve.empty_ticks").value
     assert batcher.flush_now() == 0
     assert batcher.flush_now() == 0
@@ -50,7 +50,7 @@ def test_empty_flush_tick_counts_and_answers_nothing():
 def test_single_in_flight_request_resolves_on_flush():
     async def scenario():
         compute = _Recorder()
-        batcher = MicroBatcher(compute, window=60.0)
+        batcher = MicroBatcher(compute)
         future = batcher.submit(_request(2.0))
         assert batcher.depth == 1
         assert not future.done()
@@ -67,7 +67,7 @@ def test_single_in_flight_request_resolves_on_flush():
 def test_coalesced_duplicates_computed_once_replied_n_times():
     async def scenario():
         compute = _Recorder()
-        batcher = MicroBatcher(compute, window=60.0)
+        batcher = MicroBatcher(compute)
         futures = [batcher.submit(_request(3.0)) for _ in range(5)]
         lone = batcher.submit(_request(4.0))
         assert batcher.depth == 2  # five duplicates share one key
@@ -83,23 +83,49 @@ def test_coalesced_duplicates_computed_once_replied_n_times():
     asyncio.run(scenario())
 
 
-def test_oversized_batch_splits_across_two_compute_calls():
+def test_lone_request_resolves_on_the_next_loop_turn():
     async def scenario():
         compute = _Recorder()
-        batcher = MicroBatcher(compute, window=60.0, max_batch=3)
+        batcher = MicroBatcher(compute)
+        future = batcher.submit(_request(2.0))
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        assert future.done()
+        assert future.result() == {"echo": _request(2.0)["cost"]}
+        assert batcher.depth == 0
+        assert METRICS.counter("serve.empty_ticks").value == 0
+
+    asyncio.run(scenario())
+
+
+def test_requests_queued_in_one_turn_share_one_flush():
+    async def scenario():
+        compute = _Recorder()
+        batcher = MicroBatcher(compute)
         futures = [
             batcher.submit(_request(1.0 + index))
             for index in range(5)
         ]
-        before = METRICS.counter("serve.batch_splits").value
-        batcher.flush_now()
-        assert METRICS.counter("serve.batch_splits").value == before + 1
-        assert [len(batch) for batch in compute.batches] == [3, 2]
-        answers = [await future for future in futures]
+        answers = await asyncio.gather(*futures)
         assert answers == [
             {"echo": _request(1.0 + index)["cost"]}
             for index in range(5)
         ]
+        assert [len(batch) for batch in compute.batches] == [5]
+        assert METRICS.counter("serve.batches").value == 1
+
+    asyncio.run(scenario())
+
+
+def test_idle_server_does_not_flush(warm_store):
+    async def scenario():
+        app = ServeApp(warm_store, reload_interval=0.0)
+        await app.start("127.0.0.1", 0)
+        before = METRICS.counter("serve.empty_ticks").value
+        await asyncio.sleep(0.02)
+        assert METRICS.counter("serve.empty_ticks").value == before
+        await app.drain()
+        assert METRICS.counter("serve.empty_ticks").value == before
 
     asyncio.run(scenario())
 
@@ -107,7 +133,7 @@ def test_oversized_batch_splits_across_two_compute_calls():
 def test_groups_split_by_query_within_one_tick():
     async def scenario():
         compute = _Recorder()
-        batcher = MicroBatcher(compute, window=60.0)
+        batcher = MicroBatcher(compute)
         first = batcher.submit(_request(1.0, query="Q6"))
         second = batcher.submit(_request(1.0, query="Q14"))
         batcher.flush_now()
@@ -124,7 +150,7 @@ def test_groups_split_by_query_within_one_tick():
 def test_compute_failure_rejects_every_waiter_in_the_chunk():
     async def scenario():
         compute = _Recorder(fail=True)
-        batcher = MicroBatcher(compute, window=60.0)
+        batcher = MicroBatcher(compute)
         futures = [batcher.submit(_request(5.0)) for _ in range(3)]
         batcher.flush_now()
         for future in futures:
@@ -137,8 +163,7 @@ def test_compute_failure_rejects_every_waiter_in_the_chunk():
 def test_stop_drains_pending_requests():
     async def scenario():
         compute = _Recorder()
-        batcher = MicroBatcher(compute, window=60.0)
-        await batcher.start()
+        batcher = MicroBatcher(compute)
         future = batcher.submit(_request(6.0))
         await batcher.stop()
         assert future.done()
@@ -148,7 +173,7 @@ def test_stop_drains_pending_requests():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
+    # The compute callback is the only setting: there is no flush
+    # clock and no per-flush row cap to configure.
+    with pytest.raises(TypeError):
         MicroBatcher(lambda batch: [], window=0.0)
-    with pytest.raises(ValueError):
-        MicroBatcher(lambda batch: [], max_batch=0)

@@ -45,7 +45,8 @@ def test_decide_one_matches_explain_probe_bitwise(q6_entry):
 
 def test_decide_group_is_batch_shape_independent(q6_entry):
     """The same probe answered alone and inside a batch of 40 must be
-    byte-identical — the whole point of the canonical second pass."""
+    byte-identical: a response never depends on what was queued
+    beside it."""
     probes = _probes(q6_entry, 40, seed=1)
     batched = decide_group(q6_entry, probes)
     for position in (0, 17, 39):
@@ -60,13 +61,21 @@ def test_decide_group_matches_decide_one_rows(q6_entry):
     assert group == singles
 
 
-def test_decide_group_counts_one_dgemm_per_call(q6_entry):
+def test_decide_group_records_probes_and_finite_margins(q6_entry):
     probes = _probes(q6_entry, 5, seed=3)
-    before = METRICS.counter("serve.dgemm_calls").value
-    decide_group(q6_entry, probes)
-    after = METRICS.counter("serve.dgemm_calls").value
-    assert after == before + 1
-    assert METRICS.counter("serve.probes").value >= 5
+    probes_before = METRICS.counter("serve.probes").value
+    margins_before = METRICS.histogram("serve.margin").state()["count"]
+    responses = decide_group(q6_entry, probes)
+    finite = sum(
+        response["margin"] is not None
+        and np.isfinite(response["margin"])
+        for response in responses
+    )
+    assert METRICS.counter("serve.probes").value == probes_before + 5
+    assert (
+        METRICS.histogram("serve.margin").state()["count"]
+        == margins_before + finite
+    )
 
 
 def test_verify_offline_replays_to_equal_responses(q6_entry):
