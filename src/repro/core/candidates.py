@@ -47,24 +47,18 @@ def pareto_undominated_indices(
     else:
         matrix = np.vstack([u.values for u in usages])
     m = matrix.shape[0]
+    earlier = np.arange(m)
     keep: list[int] = []
     for i in range(m):
         row = matrix[i]
-        dominated = False
-        for j in range(m):
-            if i == j:
-                continue
-            other = matrix[j]
-            if np.all(other <= row + tol):
-                if np.any(other < row - tol):
-                    dominated = True
-                    break
-                # Componentwise equal within tol: deduplicate, keep the
-                # earliest index.
-                if j < i:
-                    dominated = True
-                    break
-        if not dominated:
+        # Row j dominates row i when it is <= everywhere (within tol)
+        # and either < somewhere or equal within tol and earlier (the
+        # earliest of equal rows survives).
+        dominated = (matrix <= row + tol).all(1) & (
+            (matrix < row - tol).any(1) | (earlier < i)
+        )
+        dominated[i] = False
+        if not dominated.any():
             keep.append(i)
     return keep
 

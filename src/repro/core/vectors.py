@@ -27,18 +27,22 @@ def _as_array(
     space: ResourceSpace,
     values: "Mapping[str, float] | Iterable[float] | np.ndarray",
 ) -> np.ndarray:
-    """Convert mapping / sequence input into a dense float array."""
-    if isinstance(values, Mapping):
+    """Convert mapping / sequence input into a dense float array (a copy)."""
+    if isinstance(values, np.ndarray):
+        # Fast path: arrays skip the (slow) ``Mapping`` ABC check.
+        array = values.astype(float)
+    elif isinstance(values, Mapping):
         array = np.zeros(space.dimension, dtype=float)
         for name, value in values.items():
             array[space.index(name)] = float(value)
         return array
-    array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+    else:
+        array = np.asarray(list(values), dtype=float)
     if array.shape != (space.dimension,):
         raise ValueError(
             f"expected {space.dimension} values, got shape {array.shape}"
         )
-    return array.copy()
+    return array
 
 
 class _BoundVector:
@@ -52,7 +56,7 @@ class _BoundVector:
         values: "Mapping[str, float] | Iterable[float] | np.ndarray",
     ) -> None:
         array = _as_array(space, values)
-        if not np.all(np.isfinite(array)):
+        if not np.isfinite(array).all():
             raise ValueError("vector components must be finite")
         self._validate(array)
         array.setflags(write=False)
@@ -127,7 +131,7 @@ class UsageVector(_BoundVector):
     """
 
     def _validate(self, array: np.ndarray) -> None:
-        if np.any(array < 0):
+        if (array < 0).any():
             bad = [
                 name
                 for name, value in zip(self._space_names_hint(array), array)

@@ -26,16 +26,28 @@ sum of child costs plus operator-local usage (so a componentwise-
 dominated subplan cannot become part of a strictly better full plan),
 and order-sensitive futures are protected by only pruning a plan
 against plans with the same — or no — required order.
+
+Inside the enumerator a plan is a :class:`RawPlan`: its usage is a raw
+float64 array.  :meth:`StorageLayout.to_usage` validates each operator's
+usage once; sums of validated non-negative finite arrays stay
+non-negative, so intermediate plans are never validated again.
+Validated :class:`UsageVector` objects are built only for the plans
+that leave the enumerator (:meth:`PlanEnumerator.enumerate` returns
+:class:`CostedPlan`); a root plan whose usage overflowed to ``inf`` is
+rejected there.  :class:`ParetoPruner` holds each cell's plans
+struct-of-arrays, so each insertion is one broadcast dominance test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..catalog.statistics import Catalog
+from ..core.resources import ResourceSpace
 from ..core.vectors import CostVector, UsageVector
 from ..storage.layout import IOAccount, StorageLayout
 from .config import SystemParameters
@@ -56,12 +68,17 @@ from .selectivity import CardinalityModel
 
 __all__ = [
     "CostedPlan",
+    "RawPlan",
     "ScalarPruner",
     "ParetoPruner",
     "PlanEnumerator",
     "optimize_scalar",
     "enumerate_root_plans",
 ]
+
+#: Relative gap below which two plan totals are an exact tie in scalar
+#: mode (a few ulps of float64).
+_TIE_REL_TOL = 1e-12
 
 
 @dataclass
@@ -78,42 +95,97 @@ class CostedPlan:
         return self.node.signature()
 
 
+@dataclass(slots=True)
+class RawPlan:
+    """A plan inside the enumerator: usage as a raw float64 array.
+
+    ``values`` is never validated again after the operator usages it
+    sums were (see the module docstring); :meth:`costed` builds the
+    validated :class:`CostedPlan` at the enumerator's edge.
+    """
+
+    node: PlanNode
+    values: np.ndarray
+    rows: float
+    order: tuple[str, str] | None = None
+
+    @property
+    def signature(self) -> str:
+        return self.node.signature()
+
+    def costed(self, space: ResourceSpace) -> CostedPlan:
+        return CostedPlan(
+            self.node, UsageVector(space, self.values), self.rows, self.order
+        )
+
+
+def _cheaper(score: float, plan, lowest: float, best) -> bool:
+    """Does ``plan`` (total ``score``) beat ``best`` (total ``lowest``)?
+
+    Totals equal within a few ulps are ties broken by signature, so the
+    pick cannot flip when every cost is scaled by the same factor
+    (Observation 1): scaling rounds two equal sums differently.
+    """
+    if math.isclose(score, lowest, rel_tol=_TIE_REL_TOL):
+        return plan.signature < best.signature
+    return score < lowest
+
+
+def _cheapest(scored):
+    """The plan of the lowest ``(score, plan)`` pair, ties by signature."""
+    best, lowest = None, math.inf
+    for score, plan in scored:
+        if best is None or _cheaper(score, plan, lowest, best):
+            best, lowest = plan, score
+    return best
+
+
 class ScalarPruner:
     """Keep the single cheapest plan per order group under a fixed C."""
 
     def __init__(self, cost: CostVector) -> None:
-        self._cost = cost
+        self._cost = cost.values
 
-    def prune(self, plans: list[CostedPlan]) -> list[CostedPlan]:
-        best: dict[tuple[str, str] | None, CostedPlan] = {}
+    def prune(self, plans: list[RawPlan]) -> list[RawPlan]:
+        best: dict[tuple[str, str] | None, RawPlan] = {}
         scores: dict[tuple[str, str] | None, float] = {}
         for plan in plans:
-            score = plan.usage.dot(self._cost)
+            score = float(plan.values @ self._cost)
             key = plan.order
-            if key not in best or score < scores[key]:
+            if key not in best or _cheaper(
+                score, plan, scores[key], best[key]
+            ):
                 best[key] = plan
                 scores[key] = score
-        winners = list(best.values())
-        cheapest = min(winners, key=lambda p: p.usage.dot(self._cost))
+        cheapest = _cheapest(
+            (scores[key], plan) for key, plan in best.items()
+        )
         # Ordered winners survive (their order may pay off later); the
         # unordered winner survives only if it is the overall cheapest.
-        kept = [
+        return [
             plan
-            for plan in winners
+            for plan in best.values()
             if plan.order is not None or plan is cheapest
         ]
-        if cheapest not in kept:  # pragma: no cover - defensive
-            kept.append(cheapest)
-        return kept
 
 
 class ParetoPruner:
     """Keep vector-wise undominated plans, respecting orders.
 
-    Plan *a* prunes plan *b* when ``a.usage <= b.usage`` componentwise
-    (with ``tol`` slack) and *a*'s order can substitute for *b*'s (same
-    order, or *b* requires none).  Componentwise-equal plans keep the
-    first seen (deduplication).
+    Plan *a* prunes plan *b* when ``a.usage <= b.usage + tol``
+    componentwise and *a* has *b*'s order or no order.  Componentwise-
+    equal plans keep the first seen (deduplication); survivors keep
+    insertion order.
+
+    The cell is held struct-of-arrays: one ``(n, d + m)`` matrix whose
+    first ``d`` columns are the plans' usage and whose last ``m``
+    columns one-hot encode the cell's ``m`` distinct orders (all zero
+    for no order).  A second copy carries ``usage + tol``.  Order
+    compatibility then is the same componentwise ``<=`` on the order
+    columns, so each insertion is two broadcasts over the kept rows —
+    *dominated*: ``(kept <= plan + tol).all(1).any()``; *evicts*:
+    ``(plan <= kept + tol).all(1)`` — with the exact semantics of
+    testing the kept plans one by one.
 
     ``cell_cap`` bounds per-cell set sizes; on overflow the cheapest
     plans under ``center`` survive and :attr:`truncated` is set, so
@@ -135,33 +207,49 @@ class ParetoPruner:
         self._center = center
         self.truncated = False
 
-    def prune(self, plans: list[CostedPlan]) -> list[CostedPlan]:
-        kept: list[CostedPlan] = []
+    def prune(self, plans: list[RawPlan]) -> list[RawPlan]:
+        if not plans:
+            return []
+        # One column per distinct order after the d usage columns.
+        d = plans[0].values.shape[0]
+        columns: dict[tuple[str, str], int] = {}
         for plan in plans:
-            values = plan.usage.values
-            dominated = False
-            for other in kept:
-                if other.order is not None and other.order != plan.order:
-                    continue
-                if np.all(other.usage.values <= values + self._tol):
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            kept = [
-                other
-                for other in kept
-                if not (
-                    (plan.order is None or plan.order == other.order)
-                    and np.all(values <= other.usage.values + self._tol)
-                )
-            ]
-            kept.append(plan)
-        if self._cap is not None and len(kept) > self._cap:
+            if plan.order is not None:
+                columns.setdefault(plan.order, d + len(columns))
+        rows = np.zeros((len(plans), d + len(columns)))
+        np.stack([plan.values for plan in plans], out=rows[:, :d])
+        for i, plan in enumerate(plans):
+            if plan.order is not None:
+                rows[i, columns[plan.order]] = 1.0
+        shifted = rows.copy()
+        shifted[:, :d] += self._tol
+
+        kept_rows = np.empty_like(rows)
+        kept_shifted = np.empty_like(rows)
+        kept: list[int] = []
+        for i in range(len(plans)):
+            k = len(kept)
+            if k:
+                if (kept_rows[:k] <= shifted[i]).all(1).any():
+                    continue  # dominated, or equal to an earlier plan
+                evicted = (rows[i] <= kept_shifted[:k]).all(1)
+                if evicted.any():
+                    stay = ~evicted
+                    kept = list(itertools.compress(kept, stay))
+                    k = len(kept)
+                    kept_rows[:k] = kept_rows[: len(stay)][stay]
+                    kept_shifted[:k] = kept_shifted[: len(stay)][stay]
+            kept_rows[k] = rows[i]
+            kept_shifted[k] = shifted[i]
+            kept.append(i)
+
+        survivors = [plans[i] for i in kept]
+        if self._cap is not None and len(survivors) > self._cap:
             self.truncated = True
-            kept.sort(key=lambda p: p.usage.dot(self._center))
-            kept = kept[: self._cap]
-        return kept
+            center = self._center.values
+            survivors.sort(key=lambda plan: float(plan.values @ center))
+            survivors = survivors[: self._cap]
+        return survivors
 
 
 class PlanEnumerator:
@@ -186,13 +274,14 @@ class PlanEnumerator:
         self._include_rescans = include_rescans
         self._include_order_scans = include_order_scans
         self._bushy = bushy
-        self._base_cache: dict[str, list[CostedPlan]] = {}
+        self._base_cache: dict[str, list[RawPlan]] = {}
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _usage(self, account: IOAccount) -> UsageVector:
-        return self.layout.to_usage(account)
+    def _usage(self, account: IOAccount) -> np.ndarray:
+        """One operator's usage, validated once by the layout."""
+        return self.layout.to_usage(account).values
 
     def _needed_columns(self, alias: str) -> set[str]:
         """Columns of ``alias`` the rest of the plan must see."""
@@ -229,7 +318,7 @@ class PlanEnumerator:
     # ------------------------------------------------------------------
     # Base access paths
     # ------------------------------------------------------------------
-    def base_plans(self, alias: str) -> list[CostedPlan]:
+    def base_plans(self, alias: str) -> list[RawPlan]:
         """All access paths for one alias (cached)."""
         cached = self._base_cache.get(alias)
         if cached is not None:
@@ -238,11 +327,11 @@ class PlanEnumerator:
         table = query.table_of(alias)
         rows_out = self.model.filtered_rows(alias)
         predicates = query.predicates_for(alias)
-        plans: list[CostedPlan] = []
+        plans: list[RawPlan] = []
 
         scan = self.costs.table_scan(table, len(predicates), rows_out)
         plans.append(
-            CostedPlan(
+            RawPlan(
                 TableScanNode(alias, table),
                 self._usage(scan.account),
                 rows_out,
@@ -269,7 +358,7 @@ class PlanEnumerator:
                     alias, table, index.name, predicate.column, index_only
                 )
                 plans.append(
-                    CostedPlan(
+                    RawPlan(
                         node,
                         self._usage(result.account),
                         rows_out,
@@ -300,7 +389,7 @@ class PlanEnumerator:
                         index_only=index_only,
                     )
                     plans.append(
-                        CostedPlan(
+                        RawPlan(
                             node,
                             self._usage(result.account),
                             rows_out,
@@ -314,19 +403,19 @@ class PlanEnumerator:
     # Joins
     # ------------------------------------------------------------------
     def _sorted_variant(
-        self, plan: CostedPlan, key: tuple[str, str], width: float
-    ) -> CostedPlan:
+        self, plan: RawPlan, key: tuple[str, str], width: float
+    ) -> RawPlan:
         """Wrap ``plan`` in a sort on ``key`` (no-op if already ordered)."""
         if plan.order == key:
             return plan
-        usage = plan.usage + self._usage(self.costs.sort(plan.rows, width))
-        return CostedPlan(
+        usage = plan.values + self._usage(self.costs.sort(plan.rows, width))
+        return RawPlan(
             SortNode(plan.node, (key,)), usage, plan.rows, order=key
         )
 
     def join_plans(
-        self, outer: CostedPlan, outer_aliases: frozenset, inner_alias: str
-    ) -> list[CostedPlan]:
+        self, outer: RawPlan, outer_aliases: frozenset, inner_alias: str
+    ) -> list[RawPlan]:
         """All ways to join ``outer`` with base table ``inner_alias``."""
         query = self.query
         model = self.model
@@ -340,7 +429,7 @@ class PlanEnumerator:
         predicates = query.predicates_for(inner_alias)
         local_sel = model.local_selectivity(inner_alias)
         matches = model.matches_per_probe(outer_aliases, inner_alias)
-        plans: list[CostedPlan] = []
+        plans: list[RawPlan] = []
 
         # --- index nested-loop joins ---------------------------------
         inner_join_columns = {edge.column_for(inner_alias) for edge in edges}
@@ -370,9 +459,9 @@ class PlanEnumerator:
                     ),
                 )
                 plans.append(
-                    CostedPlan(
+                    RawPlan(
                         node,
-                        outer.usage + op_usage,
+                        outer.values + op_usage,
                         rows_out,
                         order=outer.order,
                     )
@@ -387,9 +476,9 @@ class PlanEnumerator:
                 outer.node, TableScanNode(inner_alias, table)
             )
             plans.append(
-                CostedPlan(
+                RawPlan(
                     node,
-                    outer.usage + self._usage(account),
+                    outer.values + self._usage(account),
                     rows_out,
                     order=outer.order,
                 )
@@ -410,9 +499,9 @@ class PlanEnumerator:
                 )
             )
             plans.append(
-                CostedPlan(
+                RawPlan(
                     HashJoinNode(base.node, outer.node),
-                    outer.usage + base.usage + build_inner,
+                    outer.values + base.values + build_inner,
                     rows_out,
                     order=None,
                 )
@@ -427,9 +516,9 @@ class PlanEnumerator:
                 )
             )
             plans.append(
-                CostedPlan(
+                RawPlan(
                     HashJoinNode(outer.node, base.node),
-                    outer.usage + base.usage + build_outer,
+                    outer.values + base.values + build_outer,
                     rows_out,
                     order=None,
                 )
@@ -459,9 +548,11 @@ class PlanEnumerator:
                     inner_key,
                 )
                 plans.append(
-                    CostedPlan(
+                    RawPlan(
                         node,
-                        sorted_outer.usage + sorted_inner.usage + merge_usage,
+                        sorted_outer.values
+                        + sorted_inner.values
+                        + merge_usage,
                         rows_out,
                         order=outer_key,
                     )
@@ -470,11 +561,11 @@ class PlanEnumerator:
 
     def bushy_join_plans(
         self,
-        left: CostedPlan,
-        right: CostedPlan,
+        left: RawPlan,
+        right: RawPlan,
         left_set: frozenset,
         right_set: frozenset,
-    ) -> list[CostedPlan]:
+    ) -> list[RawPlan]:
         """Join two composite subplans (bushy trees).
 
         Composite inners cannot be index-probed or rescanned cheaply,
@@ -490,7 +581,7 @@ class PlanEnumerator:
         rows_out = model.join_rows(left_set | right_set)
         width_left = float(model.tuple_width(left_set))
         width_right = float(model.tuple_width(right_set))
-        plans: list[CostedPlan] = []
+        plans: list[RawPlan] = []
         for build, probe, build_width, probe_width in (
             (left, right, width_left, width_right),
             (right, left, width_right, width_left),
@@ -505,9 +596,9 @@ class PlanEnumerator:
                 )
             )
             plans.append(
-                CostedPlan(
+                RawPlan(
                     HashJoinNode(build.node, probe.node),
-                    build.usage + probe.usage + usage,
+                    build.values + probe.values + usage,
                     rows_out,
                     order=None,
                 )
@@ -531,14 +622,14 @@ class PlanEnumerator:
                 )
             )
             plans.append(
-                CostedPlan(
+                RawPlan(
                     MergeJoinNode(
                         sorted_left.node,
                         sorted_right.node,
                         left_key,
                         right_key,
                     ),
-                    sorted_left.usage + sorted_right.usage + merge_usage,
+                    sorted_left.values + sorted_right.values + merge_usage,
                     rows_out,
                     order=left_key,
                 )
@@ -548,7 +639,7 @@ class PlanEnumerator:
     # ------------------------------------------------------------------
     # Root enforcers
     # ------------------------------------------------------------------
-    def finalize(self, plan: CostedPlan) -> CostedPlan:
+    def finalize(self, plan: RawPlan) -> RawPlan:
         """Apply GROUP BY aggregation and the final ORDER BY sort."""
         query = self.query
         model = self.model
@@ -556,10 +647,10 @@ class PlanEnumerator:
         if query.group_by:
             groups = model.group_count()
             width = float(model.tuple_width(query.aliases))
-            usage = result.usage + self._usage(
+            usage = result.values + self._usage(
                 self.costs.aggregate(result.rows, width, groups)
             )
-            result = CostedPlan(
+            result = RawPlan(
                 AggregateNode(result.node, tuple(query.group_by)),
                 usage,
                 groups,
@@ -574,10 +665,10 @@ class PlanEnumerator:
             )
             if not already:
                 width = float(model.tuple_width(query.aliases))
-                usage = result.usage + self._usage(
+                usage = result.values + self._usage(
                     self.costs.sort(result.rows, width)
                 )
-                result = CostedPlan(
+                result = RawPlan(
                     SortNode(result.node, keys),
                     usage,
                     result.rows,
@@ -588,14 +679,14 @@ class PlanEnumerator:
     # ------------------------------------------------------------------
     # The DP driver
     # ------------------------------------------------------------------
-    def enumerate(self, pruner) -> list[CostedPlan]:
+    def enumerate(self, pruner) -> list[RawPlan]:
         """Run the DP and return finalized, pruned root plans."""
         query = self.query
         # Canonical enumeration order: iterating the alias frozenset
         # directly would order subsets (and therefore plan generation
         # and equal-cost tie-breaks) by randomized string hashes.
         aliases = sorted(query.aliases)
-        memo: dict[frozenset, list[CostedPlan]] = {}
+        memo: dict[frozenset, list[RawPlan]] = {}
         for alias in aliases:
             memo[frozenset({alias})] = pruner.prune(self.base_plans(alias))
 
@@ -603,7 +694,7 @@ class PlanEnumerator:
         for size in range(2, n + 1):
             for subset in itertools.combinations(aliases, size):
                 subset_set = frozenset(subset)
-                cell: list[CostedPlan] = []
+                cell: list[RawPlan] = []
                 for inner_alias in subset:
                     rest = subset_set - {inner_alias}
                     rest_plans = memo.get(rest)
@@ -656,7 +747,8 @@ class PlanEnumerator:
                     "is the join graph connected?"
                 )
         finalized = [self.finalize(plan) for plan in root_plans]
-        return pruner.prune(finalized)
+        space = self.layout.space
+        return [plan.costed(space) for plan in pruner.prune(finalized)]
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +769,7 @@ def optimize_scalar(
     """
     enumerator = PlanEnumerator(query, catalog, params, layout, bushy=bushy)
     plans = enumerator.enumerate(ScalarPruner(cost))
-    return min(plans, key=lambda p: (p.usage.dot(cost), p.signature))
+    return _cheapest((plan.usage.dot(cost), plan) for plan in plans)
 
 
 def enumerate_root_plans(

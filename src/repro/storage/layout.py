@@ -268,7 +268,11 @@ class StorageLayout:
         return CostVector(self._space, values)
 
     def to_usage(self, account: IOAccount) -> UsageVector:
-        """Convert an abstract I/O account into a usage vector."""
+        """Convert an abstract I/O account into a usage vector.
+
+        The one place an operator's usage is validated: the enumerator
+        sums these vectors' raw arrays without validating them again.
+        """
         values: dict[str, float] = {"cpu": account.cpu_instructions}
         for key, (seeks, pages) in account.io.items():
             device = self.device_of(key)

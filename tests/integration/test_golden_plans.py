@@ -16,19 +16,20 @@ from repro.storage import StorageLayout
 from repro.workloads import build_tpch_queries
 
 GOLDEN_PLANS = {
+    # Q2/Q5/Q7/Q8/Q9/Q18/Q20 carry exact-cost ties (commuted hash-join
+    # builds; the nation join and the PS index probe commute at
+    # identical total; L_OK and L_PK probe at identical cost); totals
+    # equal within a few ulps are broken by signature, so the pinned
+    # member is the lexicographically smallest signature.
     "Q1": "SORT(GRPBY(TBSCAN(L)),L.L_RETURNFLAG+L.L_LINESTATUS)",
-    "Q2": "SORT(HSJOIN(TBSCAN(R),HSJOIN(TBSCAN(N),HSJOIN(TBSCAN(S),NLJOIN(TBSCAN(P),IXPROBE(PS,PS_PK))))),S.S_ACCTBAL)",
+    "Q2": "SORT(HSJOIN(HSJOIN(HSJOIN(NLJOIN(TBSCAN(P),IXPROBE(PS,PS_PK)),TBSCAN(S)),TBSCAN(N)),TBSCAN(R)),S.S_ACCTBAL)",
     "Q3": "SORT(GRPBY(MSJOIN(SORT(HSJOIN(TBSCAN(C),TBSCAN(O)),O.O_ORDERKEY),IXSCAN(L,L_OK))),O.O_ORDERDATE)",
     "Q4": "SORT(GRPBY(HSJOIN(TBSCAN(O),TBSCAN(L))),O.O_ORDERPRIORITY)",
-    "Q5": "SORT(GRPBY(HSJOIN(TBSCAN(R),HSJOIN(TBSCAN(N),HSJOIN(TBSCAN(S),MSJOIN(SORT(MSJOIN(SORT(TBSCAN(O),O.O_CUSTKEY),IXSCAN(C,C_PK)),O.O_ORDERKEY),IXSCAN(L,L_OK)))))),N.N_NAME)",
+    "Q5": "SORT(GRPBY(HSJOIN(TBSCAN(R),HSJOIN(HSJOIN(TBSCAN(S),MSJOIN(SORT(MSJOIN(IXSCAN(C,C_PK),SORT(TBSCAN(O),O.O_CUSTKEY)),O.O_ORDERKEY),IXSCAN(L,L_OK))),TBSCAN(N)))),N.N_NAME)",
     "Q6": "TBSCAN(L)",
-    # Q7/Q9 carry exact-cost ties (commuted hash-join builds; the
-    # nation join and the PS index probe commute at identical total);
-    # the pinned member is the one canonical sorted-alias enumeration
-    # generates first.
     "Q7": "SORT(GRPBY(HSJOIN(TBSCAN(N2),MSJOIN(SORT(MSJOIN(SORT(HSJOIN(HSJOIN(TBSCAN(N1),TBSCAN(S)),TBSCAN(L)),L.L_ORDERKEY),IXSCAN(O,O_PK)),O.O_CUSTKEY),IXSCAN(C,C_PK)))),N1.N_NAME)",
-    "Q8": "SORT(GRPBY(HSJOIN(TBSCAN(N2),HSJOIN(TBSCAN(S),HSJOIN(TBSCAN(R),HSJOIN(TBSCAN(N1),HSJOIN(HSJOIN(NLJOIN(TBSCAN(P),IXPROBE(L,L_PK_SK)),TBSCAN(O)),TBSCAN(C))))))),O.O_ORDERDATE)",
-    "Q9": "SORT(GRPBY(HSJOIN(TBSCAN(N),NLJOIN(HSJOIN(TBSCAN(S),MSJOIN(SORT(HSJOIN(TBSCAN(P),TBSCAN(L)),L.L_ORDERKEY),IXSCAN(O,O_PK))),IXPROBE(PS,PS_PK,IXONLY)))),N.N_NAME)",
+    "Q8": "SORT(GRPBY(HSJOIN(HSJOIN(HSJOIN(HSJOIN(HSJOIN(HSJOIN(NLJOIN(TBSCAN(P),IXPROBE(L,L_PK_SK)),TBSCAN(O)),TBSCAN(C)),TBSCAN(N1)),TBSCAN(R)),TBSCAN(S)),TBSCAN(N2))),O.O_ORDERDATE)",
+    "Q9": "SORT(GRPBY(HSJOIN(TBSCAN(N),HSJOIN(TBSCAN(S),NLJOIN(MSJOIN(SORT(HSJOIN(TBSCAN(P),TBSCAN(L)),L.L_ORDERKEY),IXSCAN(O,O_PK)),IXPROBE(PS,PS_PK,IXONLY))))),N.N_NAME)",
     "Q10": "SORT(GRPBY(HSJOIN(TBSCAN(N),HSJOIN(HSJOIN(TBSCAN(O),TBSCAN(L)),TBSCAN(C)))),C.C_ACCTBAL)",
     "Q11": "SORT(GRPBY(HSJOIN(NLJOIN(TBSCAN(N),TBSCAN(S)),TBSCAN(PS))),PS.PS_SUPPLYCOST)",
     "Q12": "SORT(GRPBY(HSJOIN(TBSCAN(L),IXSCAN(O,O_PK,IXONLY))),L.L_SHIPMODE)",
@@ -37,9 +38,9 @@ GOLDEN_PLANS = {
     "Q15": "SORT(GRPBY(HSJOIN(IXSCAN(S,S_PK,IXONLY),TBSCAN(L))),S.S_SUPPKEY)",
     "Q16": "SORT(GRPBY(HSJOIN(TBSCAN(P),IXSCAN(PS,PS_PK,IXONLY))),P.P_BRAND)",
     "Q17": "NLJOIN(TBSCAN(P),IXPROBE(L,L_PK_SK))",
-    "Q18": "SORT(GRPBY(NLJOIN(NLJOIN(TBSCAN(O),IXPROBE(C,C_PK,IXONLY)),IXPROBE(L,L_PK,IXONLY))),O.O_TOTALPRICE)",
+    "Q18": "SORT(GRPBY(NLJOIN(NLJOIN(TBSCAN(O),IXPROBE(C,C_PK,IXONLY)),IXPROBE(L,L_OK,IXONLY))),O.O_TOTALPRICE)",
     "Q19": "HSJOIN(TBSCAN(P),TBSCAN(L))",
-    "Q20": "SORT(NLJOIN(HSJOIN(TBSCAN(N),HSJOIN(TBSCAN(S),HSJOIN(TBSCAN(P),IXSCAN(PS,PS_PK,IXONLY)))),IXPROBE(L,L_PK_SK)),S.S_NAME)",
+    "Q20": "SORT(NLJOIN(HSJOIN(HSJOIN(HSJOIN(TBSCAN(P),IXSCAN(PS,PS_PK,IXONLY)),TBSCAN(S)),TBSCAN(N)),IXPROBE(L,L_PK_SK)),S.S_NAME)",
     "Q21": "SORT(GRPBY(MSJOIN(MSJOIN(SORT(HSJOIN(NLJOIN(TBSCAN(N),TBSCAN(S)),TBSCAN(L1)),L1.L_ORDERKEY),IXSCAN(O,O_PK)),IXSCAN(L2,L_OK,IXONLY))),S.S_NAME)",
     "Q22": "SORT(GRPBY(HSJOIN(TBSCAN(C),IXSCAN(O,O_CK,IXONLY))),C.C_PHONE)",
 }

@@ -10,10 +10,12 @@ from repro.optimizer.config import DEFAULT_PARAMETERS
 from repro.optimizer.dp import (
     ParetoPruner,
     PlanEnumerator,
+    RawPlan,
     ScalarPruner,
     enumerate_root_plans,
     optimize_scalar,
 )
+from repro.optimizer.plans import TableScanNode
 from repro.optimizer.query import (
     JoinPredicate,
     LocalPredicate,
@@ -179,6 +181,22 @@ class TestPruners:
         pruned = ParetoPruner().prune(doubled)
         signatures = [p.signature for p in pruned]
         assert len(signatures) == len(set(signatures))
+
+
+    def test_scalar_pruner_breaks_ulp_ties_by_signature(self, catalog):
+        layout = _layout(_query())
+        cost = layout.center_costs()
+        values = np.array([1.0, 3.0, 7.0])
+        nudged = values.copy()
+        nudged[0] = np.nextafter(nudged[0], 0.0)  # one ulp cheaper
+        plan_a = RawPlan(TableScanNode("A", "T"), values, 1.0)
+        plan_b = RawPlan(TableScanNode("B", "T"), nudged, 1.0)
+        for plans in ([plan_a, plan_b], [plan_b, plan_a]):
+            kept = ScalarPruner(cost).prune(plans)
+            assert [p.signature for p in kept] == ["TBSCAN(A)"]
+        cheaper_b = RawPlan(TableScanNode("B", "T"), values * 0.5, 1.0)
+        kept = ScalarPruner(cost).prune([plan_a, cheaper_b])
+        assert [p.signature for p in kept] == ["TBSCAN(B)"]
 
 
 class TestStructure:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.vectors import CostVector
@@ -12,16 +12,20 @@ from repro.storage import StorageLayout
 from repro.workloads.generator import JOIN_SHAPES, random_catalog, random_query
 
 
-@st.composite
-def workload(draw):
-    seed = draw(st.integers(0, 2**31 - 1))
-    n_tables = draw(st.integers(2, 4))
-    shape = draw(st.sampled_from(JOIN_SHAPES))
+def _workload(seed, n_tables, shape):
     rng = np.random.default_rng(seed)
     catalog = random_catalog(rng, n_tables=n_tables)
     query = random_query(rng, catalog, shape=shape)
     layout = StorageLayout.shared_device(query.table_names())
     return catalog, query, layout, seed
+
+
+@st.composite
+def workload(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    n_tables = draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(JOIN_SHAPES))
+    return _workload(seed, n_tables, shape)
 
 
 @given(workload())
@@ -47,7 +51,13 @@ def test_scalar_optimum_is_in_pareto_set(setup):
         assert scalar.usage.dot(cost) == pytest.approx(best, rel=1e-9)
 
 
+# Exact cost ties: the two plans differ only in the order of two index
+# probes (IXPROBE(A1,T1_F)/IXPROBE(A3,T3_F) in the first draw), so
+# scaling C rounds their equal totals differently; the pick must still
+# not flip.
 @given(workload(), st.floats(1e-3, 1e3))
+@example(_workload(139, 4, "star"), 5.0)
+@example(_workload(329, 4, "star"), 0.1)
 @settings(max_examples=25, deadline=None)
 def test_observation1_for_the_optimizer(setup, k):
     """Scaling ALL costs by k never changes the chosen plan."""
